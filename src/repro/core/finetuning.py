@@ -21,11 +21,11 @@ reaches 5 seconds or no improvement was seen for 1000 epochs (2500 max).
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,17 +35,18 @@ from repro.data.schema import JobContext
 from repro.nn.batched import (
     BatchedAdam,
     BatchedModelBank,
-    GroupProgress,
-    ParamSnapshots,
+    LockstepGroup,
+    bucket_groups,
+    fit_lockstep,
     huber_loss_batched,
 )
 from repro.nn.losses import HuberLoss
 from repro.nn.optim import Adam
 from repro.nn.schedulers import CyclicLR
-from repro.nn.tape import GraphCompiler, legacy_engine
+from repro.nn.tape import GraphCompiler
 from repro.nn.tensor import Tensor
 from repro.nn.trainer import TrainResult, Trainer, TrainerConfig, unfreeze_after
-from repro.utils.rng import derive_seed, new_rng
+from repro.utils.rng import derive_seed
 
 
 class FinetuneStrategy(str, Enum):
@@ -126,19 +127,59 @@ def _clone_model(model: BellamyModel) -> BellamyModel:
     return clone
 
 
-def _prepare_model(
+def _check_samples(machines, runtimes) -> Tuple[np.ndarray, np.ndarray]:
+    """The fine-tuning samples as flat float arrays (>= 1 point, equal length)."""
+    machines = np.asarray(machines, dtype=np.float64).reshape(-1)
+    runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
+    if machines.size == 0:
+        raise ValueError("training on a context requires at least one sample; "
+                         "use the pre-trained model directly for zero-shot prediction")
+    if machines.shape != runtimes.shape:
+        raise ValueError("machines and runtimes must have equal length")
+    return machines, runtimes
+
+
+def _group(
+    index: int,
+    model: BellamyModel,
+    context: JobContext,
+    machines: np.ndarray,
+    runtimes: np.ndarray,
+    max_epochs: Optional[int],
+    seed_path: Tuple,
+) -> LockstepGroup:
+    """The context's scaled samples plus the Huber-only loop settings."""
+    config = model.config
+    scaleout_raw, properties = model.featurizer.build_context_arrays(context, machines)
+    return LockstepGroup(
+        index=index,
+        model=model,
+        features=model.scaler.transform(scaleout_raw),
+        properties=properties,
+        targets=model.normalize_runtimes(runtimes),
+        trainer=TrainerConfig(
+            max_epochs=max_epochs or config.finetune_max_epochs,
+            batch_size=config.batch_size,
+            monitor="mae",
+            target=config.finetune_target_mae,
+            patience=config.finetune_patience,
+            restore_best=True,
+            seed=derive_seed(config.seed, "finetune-loop", *seed_path),
+        ),
+    )
+
+
+def _prepare_group(
+    index: int,
     base_model: BellamyModel,
     context: JobContext,
-    n_samples: int,
+    machines: np.ndarray,
+    runtimes: np.ndarray,
     strategy: FinetuneStrategy,
     max_epochs: Optional[int],
     copy: bool,
-) -> Tuple[BellamyModel, BellamyConfig, Optional[int]]:
-    """Clone/reset/freeze a model for fine-tuning (shared serial/batched prep).
-
-    Returns the prepared model, its config, and the epoch at which ``f``
-    unlocks (``None`` when the strategy adapts ``f`` from the start).
-    """
+) -> LockstepGroup:
+    """Clone/reset/freeze a model for fine-tuning (shared serial/batched prep)."""
     model = _clone_model(base_model) if copy else base_model
     config = model.config
 
@@ -159,34 +200,41 @@ def _prepare_model(
     if hasattr(model, "graph_encoder"):
         model.graph_encoder.freeze()
     model.z.unfreeze()
-    unfreeze_epoch = None
     if strategy.delays_f():
         model.f.freeze()
-        budget = max_epochs or config.finetune_max_epochs
-        unfreeze_epoch = unfreeze_epoch_for(n_samples, budget)
     else:
         model.f.unfreeze()
-    return model, config, unfreeze_epoch
+    seed_path = (context.context_id, strategy.value)
+    return _group(index, model, context, machines, runtimes, max_epochs, seed_path)
 
 
-def _run_finetune_loop(
-    model: BellamyModel,
-    context: JobContext,
-    machines: np.ndarray,
-    runtimes: np.ndarray,
-    config: BellamyConfig,
-    callbacks,
-    max_epochs: Optional[int],
-    seed_path: Tuple,
+def _unfreeze_epoch(strategy: Optional[FinetuneStrategy], group: LockstepGroup) -> Optional[int]:
+    """Epoch at which ``f`` unlocks (``None``: adapted from the start)."""
+    if strategy is None or not strategy.delays_f():
+        return None
+    return unfreeze_epoch_for(len(group.targets), group.trainer.max_epochs)
+
+
+def _cyclic_lr(optimizer, config: BellamyConfig) -> CyclicLR:
+    return CyclicLR(
+        optimizer,
+        min_lr=config.finetune_lr_min,
+        max_lr=config.finetune_lr_max,
+        cycle_length=config.finetune_lr_cycle,
+    )
+
+
+def _fit_serial(
+    group: LockstepGroup, context: JobContext, unfreeze_epoch: Optional[int]
 ) -> TrainResult:
     """Shared Huber-only optimization loop used by all strategies."""
+    model = group.model
+    config = model.config
     # Graph-aware models route the (single) fine-tuning context to their
     # forward pass through ``pending_contexts`` (see core.graph_model).
     if hasattr(model, "pending_contexts"):
         model.pending_contexts = [context]
-    scaleout_raw, properties = model.featurizer.build_context_arrays(context, machines)
-    scaled_features = model.scaler.transform(scaleout_raw)
-    scaled_targets = model.normalize_runtimes(runtimes)
+    features, properties, targets = group.features, group.properties, group.targets
     huber = HuberLoss(delta=config.huber_delta)
 
     # The per-batch graph is structurally identical across epochs, so it is
@@ -199,37 +247,97 @@ def _run_finetune_loop(
     compiler = GraphCompiler(build, params=model.parameters)
 
     def batch_loss(batch: np.ndarray):
-        _, prediction = compiler.run(
-            scaled_features[batch], properties[batch], scaled_targets[batch]
-        )
-        residual = model.denormalize_runtimes(prediction.data - scaled_targets[batch])
+        _, prediction = compiler.run(features[batch], properties[batch], targets[batch])
+        residual = model.denormalize_runtimes(prediction.data - targets[batch])
         return compiler.loss_handle, {"mae": float(np.abs(residual).mean())}
 
-    trainer_config = TrainerConfig(
-        max_epochs=max_epochs or config.finetune_max_epochs,
-        batch_size=config.batch_size,
-        monitor="mae",
-        target=config.finetune_target_mae,
-        patience=config.finetune_patience,
-        restore_best=True,
-        seed=derive_seed(config.seed, "finetune-loop", *seed_path),
-    )
     optimizer = Adam(
         model.parameters(),
         lr=config.finetune_lr_max,
         weight_decay=config.finetune_weight_decay,
     )
-    scheduler = CyclicLR(
+    callbacks = [] if unfreeze_epoch is None else [unfreeze_after(model.f, unfreeze_epoch)]
+    trainer = Trainer(
+        model,
         optimizer,
-        min_lr=config.finetune_lr_min,
-        max_lr=config.finetune_lr_max,
-        cycle_length=config.finetune_lr_cycle,
+        group.trainer,
+        scheduler=_cyclic_lr(optimizer, config),
+        callbacks=callbacks,
     )
-    trainer = Trainer(model, optimizer, trainer_config, scheduler=scheduler, callbacks=callbacks)
     model.train()
-    result = trainer.fit(machines.size, batch_loss)
+    result = trainer.fit(len(targets), batch_loss)
     model.eval()
     return result
+
+
+def _fit_lockstep(groups: List[LockstepGroup], strategy: FinetuneStrategy) -> List[TrainResult]:
+    """The fine-tune objective on :func:`repro.nn.batched.fit_lockstep`.
+
+    Huber on one stacked bank; ``f`` commits only for groups whose
+    f-unfreeze epoch has passed, ``z`` for every group with a batch; the
+    epoch hooks are each group's cyclic learning rate and f-unfreeze.
+    """
+    configs = [group.model.config for group in groups]
+    bank = BatchedModelBank([group.model for group in groups])
+    delta = np.array([c.huber_delta for c in configs], dtype=np.float64)
+
+    def build(features_t: Tensor, properties_t: Tensor, targets_t: Tensor, counts_t: Tensor):
+        prediction, _, _ = bank.forward(features_t, properties_t, counts=counts_t)
+        loss = huber_loss_batched(prediction, targets_t, delta=delta, counts=counts_t)
+        return loss, prediction
+
+    f_params, z_params = bank.f.params(), bank.z.params()
+    optimizer = BatchedAdam(
+        f_params + z_params,
+        len(groups),
+        lr=np.array([c.finetune_lr_max for c in configs], dtype=np.float64),
+        weight_decay=np.array([c.finetune_weight_decay for c in configs], dtype=np.float64),
+    )
+    schedulers = [_cyclic_lr(SimpleNamespace(lr=c.finetune_lr_max), c) for c in configs]
+    unfreeze = [_unfreeze_epoch(strategy, group) for group in groups]
+    f_open = np.array([epoch is None for epoch in unfreeze])
+
+    def commit_masks(had_batch: np.ndarray) -> List[np.ndarray]:
+        return [had_batch & f_open] * len(f_params) + [had_batch] * len(z_params)
+
+    def step_lr(epoch: int, running: List[int]) -> None:
+        for g in running:
+            optimizer.lr[g] = schedulers[g].step()
+
+    def unfreeze_f(g: int, epoch: int) -> None:
+        if unfreeze[g] is not None and epoch + 1 == unfreeze[g]:
+            f_open[g] = True
+            groups[g].model.f.unfreeze()
+            # The stacked f becomes trainable with its first group; the
+            # compiler re-records on the next run.
+            bank.f.set_trainable(True)
+
+    results = fit_lockstep(
+        bank,
+        groups,
+        build,
+        optimizer,
+        commit_masks,
+        on_epoch_start=step_lr,
+        on_epoch_end=unfreeze_f,
+    )
+    for group in groups:
+        group.model.eval()
+    return results
+
+
+def _result(
+    group: LockstepGroup, strategy: str, train_result: TrainResult, wall: float
+) -> FinetuneResult:
+    return FinetuneResult(
+        model=group.model,
+        strategy=strategy,
+        epochs_trained=train_result.epochs_trained,
+        wall_seconds=wall,
+        final_mae=train_result.best_metric,
+        stop_reason=train_result.stop_reason,
+        train_result=train_result,
+    )
 
 
 def finetune(
@@ -258,252 +366,11 @@ def finetune(
     copy:
         Clone the base model first so it can be reused across splits.
     """
-    machines = np.asarray(machines, dtype=np.float64).reshape(-1)
-    runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
-    if machines.size == 0:
-        raise ValueError("fine-tuning requires at least one sample; "
-                         "use the pre-trained model directly for zero-shot prediction")
-    if machines.shape != runtimes.shape:
-        raise ValueError("machines and runtimes must have equal length")
-
+    machines, runtimes = _check_samples(machines, runtimes)
     started = time.perf_counter()
-    model, config, unfreeze_epoch = _prepare_model(
-        base_model, context, machines.size, strategy, max_epochs, copy
-    )
-    callbacks = []
-    if unfreeze_epoch is not None:
-        callbacks.append(unfreeze_after(model.f, unfreeze_epoch))
-
-    result = _run_finetune_loop(
-        model,
-        context,
-        machines,
-        runtimes,
-        config,
-        callbacks,
-        max_epochs,
-        seed_path=(context.context_id, strategy.value),
-    )
-    wall = time.perf_counter() - started
-    return FinetuneResult(
-        model=model,
-        strategy=strategy.value,
-        epochs_trained=result.epochs_trained,
-        wall_seconds=wall,
-        final_mae=result.best_metric,
-        stop_reason=result.stop_reason,
-        train_result=result,
-    )
-
-
-@dataclass
-class _BatchEntry:
-    """One prepared group of a batched fine-tune."""
-
-    index: int
-    model: BellamyModel
-    context: JobContext
-    machines: np.ndarray
-    runtimes: np.ndarray
-    config: BellamyConfig
-    unfreeze_epoch: Optional[int]
-    scaled_features: np.ndarray = field(default=None, repr=False)
-    properties: np.ndarray = field(default=None, repr=False)
-    scaled_targets: np.ndarray = field(default=None, repr=False)
-
-    def arch_key(self) -> tuple:
-        """Groups are batchable together iff this key matches."""
-        return (
-            tuple((n, p.data.shape) for n, p in self.model.named_parameters()),
-            self.properties.shape[1:],
-            self.config.n_essential,
-            self.config.encoding_dim,
-            self.config.use_optional,
-        )
-
-
-class _LrHolder:
-    """Minimal optimizer stand-in so serial LR schedulers drive one group."""
-
-    def __init__(self, lr: float) -> None:
-        self.lr = lr
-
-
-def _run_finetune_loop_batch(
-    entries: List[_BatchEntry],
-    strategy: FinetuneStrategy,
-    max_epochs: Optional[int],
-) -> List[TrainResult]:
-    """Lockstep Huber-only optimization of N prepared groups on one tape.
-
-    A direct transliteration of :func:`_run_finetune_loop` +
-    :meth:`repro.nn.trainer.Trainer.fit` with the group axis vectorized:
-    per-epoch scheduler step, per-group shuffled batch order (each group's
-    trainer RNG drawn only while that group is active), fused forward/
-    backward over ``(group, batch, features)`` with ragged batches expressed
-    as padding + counts, a masked per-group Adam step, best-state snapshots,
-    and the serial stop order (target, patience, max-epochs) per group.
-    """
-    n_groups = len(entries)
-    models = [e.model for e in entries]
-    configs = [e.config for e in entries]
-    bank = BatchedModelBank(models)
-    delta = np.array([c.huber_delta for c in configs], dtype=np.float64)
-
-    ns = [int(e.machines.size) for e in entries]
-    batch_sizes = [int(c.batch_size) for c in configs]
-    max_epochs_list = [
-        int(max_epochs or c.finetune_max_epochs) for c in configs
-    ]
-    width = max(min(bs, n) for bs, n in zip(batch_sizes, ns))
-    n_props, vec_size = entries[0].properties.shape[1:]
-
-    feats_buf = np.zeros((n_groups, width, 3), dtype=np.float64)
-    props_buf = np.zeros((n_groups, width, n_props, vec_size), dtype=np.float64)
-    targ_buf = np.zeros((n_groups, width), dtype=np.float64)
-    counts = np.zeros(n_groups, dtype=np.float64)
-    dirty = [False] * n_groups
-
-    def build(features_t: Tensor, properties_t: Tensor, targets_t: Tensor, counts_t: Tensor):
-        prediction, _, _ = bank.forward(features_t, properties_t, counts=counts_t)
-        loss = huber_loss_batched(prediction, targets_t, delta=delta, counts=counts_t)
-        return loss, prediction
-
-    compiler = GraphCompiler(build, params=bank.parameters)
-
-    f_params = bank.f.params()
-    z_params = bank.z.params()
-    opt_params = f_params + z_params
-    optimizer = BatchedAdam(
-        opt_params,
-        n_groups,
-        lr=np.array([c.finetune_lr_max for c in configs], dtype=np.float64),
-        weight_decay=np.array(
-            [c.finetune_weight_decay for c in configs], dtype=np.float64
-        ),
-    )
-    holders = [_LrHolder(c.finetune_lr_max) for c in configs]
-    schedulers = [
-        CyclicLR(
-            holder,
-            min_lr=c.finetune_lr_min,
-            max_lr=c.finetune_lr_max,
-            cycle_length=c.finetune_lr_cycle,
-        )
-        for holder, c in zip(holders, configs)
-    ]
-    progress = GroupProgress(
-        n_groups,
-        monitor="mae",
-        targets=[c.finetune_target_mae for c in configs],
-        patiences=[c.finetune_patience for c in configs],
-        max_epochs=max_epochs_list,
-    )
-    snapshots = ParamSnapshots(opt_params)
-    trainer_rngs = [
-        new_rng(
-            derive_seed(
-                c.seed, "finetune-loop", e.context.context_id, strategy.value
-            )
-        )
-        for c, e in zip(configs, entries)
-    ]
-    indices_list = [np.arange(n) for n in ns]
-    f_unfrozen = [e.unfreeze_epoch is None for e in entries]
-    lrs = np.array([c.finetune_lr_max for c in configs], dtype=np.float64)
-    z_mask = np.zeros(n_groups, dtype=bool)
-
-    for model in models:
-        model.train()
-    bank.train()
-
-    epoch = 0
-    while progress.any_active:
-        epoch_active = [g for g in range(n_groups) if progress.active[g]]
-        for g in epoch_active:
-            lrs[g] = schedulers[g].step()
-        optimizer.set_lr(lrs)
-        orders = {g: trainer_rngs[g].permutation(indices_list[g]) for g in epoch_active}
-        n_batches = {
-            g: math.ceil(ns[g] / batch_sizes[g]) for g in epoch_active
-        }
-        total_loss = [0.0] * n_groups
-        total_mae = [0.0] * n_groups
-        seen = [0] * n_groups
-
-        for b in range(max(n_batches.values())):
-            z_mask[:] = False
-            for g in range(n_groups):
-                if g in n_batches and b < n_batches[g]:
-                    bs = batch_sizes[g]
-                    idx = orders[g][b * bs : b * bs + bs]
-                    c = idx.size
-                    feats_buf[g, :c] = entries[g].scaled_features[idx]
-                    props_buf[g, :c] = entries[g].properties[idx]
-                    targ_buf[g, :c] = entries[g].scaled_targets[idx]
-                    if c < width:
-                        feats_buf[g, c:] = 0.0
-                        props_buf[g, c:] = 0.0
-                        targ_buf[g, c:] = 0.0
-                    counts[g] = float(c)
-                    z_mask[g] = True
-                    dirty[g] = True
-                else:
-                    counts[g] = 0.0
-                    if dirty[g]:
-                        feats_buf[g] = 0.0
-                        props_buf[g] = 0.0
-                        targ_buf[g] = 0.0
-                        dirty[g] = False
-
-            optimizer.zero_grad()
-            loss_t, prediction = compiler.run(feats_buf, props_buf, targ_buf, counts)
-            if loss_t.requires_grad:
-                compiler.backward()
-                f_mask = z_mask & np.asarray(f_unfrozen, dtype=bool)
-                masks = [f_mask] * len(f_params) + [z_mask] * len(z_params)
-                optimizer.step(masks)
-
-            for g in range(n_groups):
-                if not z_mask[g]:
-                    continue
-                c = int(counts[g])
-                residual = models[g].denormalize_runtimes(
-                    prediction.data[g, :c] - targ_buf[g, :c]
-                )
-                total_loss[g] += float(loss_t.data[g]) * c
-                total_mae[g] += float(np.abs(residual).mean()) * c
-                seen[g] += c
-
-        metrics_map = {}
-        for g in epoch_active:
-            epoch_metrics = {
-                "loss": total_loss[g] / seen[g],
-                "mae": total_mae[g] / seen[g],
-                "lr": lrs[g],
-            }
-            metrics_map[g] = epoch_metrics
-            if progress.record(g, epoch, epoch_metrics):
-                snapshots.save(g)
-        for g in epoch_active:
-            unfreeze_epoch = entries[g].unfreeze_epoch
-            if unfreeze_epoch is not None and epoch + 1 == unfreeze_epoch:
-                f_unfrozen[g] = True
-                models[g].f.unfreeze()
-                if not bank.f.weight1.requires_grad:
-                    # First group to unlock f: the stacked parameters become
-                    # trainable and the compiler re-records on the next run.
-                    bank.f.set_trainable(True)
-        for g in epoch_active:
-            progress.check_stop(g, epoch, metrics_map[g])
-        epoch += 1
-
-    for g in range(n_groups):
-        snapshots.restore(g)
-    bank.write_back()
-    for model in models:
-        model.eval()
-    return [progress.result(g) for g in range(n_groups)]
+    group = _prepare_group(0, base_model, context, machines, runtimes, strategy, max_epochs, copy)
+    result = _fit_serial(group, context, _unfreeze_epoch(strategy, group))
+    return _result(group, strategy.value, result, time.perf_counter() - started)
 
 
 def finetune_batch(
@@ -520,101 +387,53 @@ def finetune_batch(
     :class:`~repro.nn.batched.BatchedModelBank` and trained together on one
     compiled tape; the result per group is bit-identical to running
     :func:`finetune` on it alone (same seeds, same shuffled batch orders,
-    same stop epochs). Groups that cannot batch — architecture mismatch,
-    graph-aware models, the legacy engine, or a lone leftover — fall back to
-    the serial loop transparently.
+    same stop epochs). Groups that cannot batch — graph-aware models or a
+    lone leftover of an architecture — train in the serial loop.
 
     Returns one entry per item, position-aligned: a
     :class:`FinetuneResult` on success or a :class:`FinetuneFailure` when
     that group's inputs were unusable (other groups are unaffected).
     """
     results: List[Optional[Union[FinetuneResult, FinetuneFailure]]] = [None] * len(items)
-    serial_items: List[int] = []
-    prepared: Dict[int, _BatchEntry] = {}
+    batchable: List[LockstepGroup] = []
+    serial: List[LockstepGroup] = []
     started = time.perf_counter()
+
+    def fail(i: int, exc: Exception) -> None:
+        item = items[i]
+        context = item[1] if isinstance(item, (tuple, list)) and len(item) > 1 else None
+        results[i] = FinetuneFailure(
+            context=context, strategy=strategy.value, error=f"{type(exc).__name__}: {exc}"
+        )
 
     for i, item in enumerate(items):
         try:
             base_model, context, machines, runtimes = item
-            machines = np.asarray(machines, dtype=np.float64).reshape(-1)
-            runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
-            if machines.size == 0:
-                raise ValueError(
-                    "fine-tuning requires at least one sample; use the "
-                    "pre-trained model directly for zero-shot prediction"
-                )
-            if machines.shape != runtimes.shape:
-                raise ValueError("machines and runtimes must have equal length")
-            if legacy_engine() or hasattr(base_model, "pending_contexts"):
-                serial_items.append(i)
-                continue
-            model, config, unfreeze_epoch = _prepare_model(
-                base_model, context, machines.size, strategy, max_epochs, copy
+            machines, runtimes = _check_samples(machines, runtimes)
+            group = _prepare_group(
+                i, base_model, context, machines, runtimes, strategy, max_epochs, copy
             )
-            scaleout_raw, properties = model.featurizer.build_context_arrays(
-                context, machines
-            )
-            entry = _BatchEntry(
-                index=i,
-                model=model,
-                context=context,
-                machines=machines,
-                runtimes=runtimes,
-                config=config,
-                unfreeze_epoch=unfreeze_epoch,
-                scaled_features=model.scaler.transform(scaleout_raw),
-                properties=properties,
-                scaled_targets=model.normalize_runtimes(runtimes),
-            )
-            prepared[i] = entry
+            # Graph-aware models read their context in forward: serial only.
+            (serial if hasattr(base_model, "pending_contexts") else batchable).append(group)
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            context = item[1] if isinstance(item, (tuple, list)) and len(item) > 1 else None
-            results[i] = FinetuneFailure(
-                context=context,
-                strategy=strategy.value,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            fail(i, exc)
 
-    subgroups: Dict[tuple, List[int]] = {}
-    for i, entry in prepared.items():
-        subgroups.setdefault(entry.arch_key(), []).append(i)
-
-    for key, members in subgroups.items():
-        if len(members) < 2:
-            serial_items.extend(members)
-            continue
-        entries = [prepared[i] for i in members]
-        train_results = _run_finetune_loop_batch(entries, strategy, max_epochs)
+    buckets, lone = bucket_groups(batchable)
+    for bucket in buckets:
+        train_results = _fit_lockstep(bucket, strategy)
         wall = time.perf_counter() - started
-        for entry, train_result in zip(entries, train_results):
-            results[entry.index] = FinetuneResult(
-                model=entry.model,
-                strategy=strategy.value,
-                epochs_trained=train_result.epochs_trained,
-                wall_seconds=wall,
-                final_mae=train_result.best_metric,
-                stop_reason=train_result.stop_reason,
-                train_result=train_result,
-            )
+        for group, train_result in zip(bucket, train_results):
+            results[group.index] = _result(group, strategy.value, train_result, wall)
 
-    for i in serial_items:
+    for group in serial + lone:
         try:
-            base_model, context, machines, runtimes = items[i]
-            results[i] = finetune(
-                base_model,
-                context,
-                machines,
-                runtimes,
-                strategy=strategy,
-                max_epochs=max_epochs,
-                copy=copy,
-            )
+            fit_started = time.perf_counter()
+            context = items[group.index][1]
+            train_result = _fit_serial(group, context, _unfreeze_epoch(strategy, group))
+            wall = time.perf_counter() - fit_started
+            results[group.index] = _result(group, strategy.value, train_result, wall)
         except Exception as exc:  # noqa: BLE001 — isolation is the contract
-            results[i] = FinetuneFailure(
-                context=items[i][1],
-                strategy=strategy.value,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            fail(group.index, exc)
 
     return results
 
@@ -633,10 +452,7 @@ def train_local(
     random codes still give each context a stable signature); the scale-out
     boundaries and the runtime scale are derived from the local samples.
     """
-    machines = np.asarray(machines, dtype=np.float64).reshape(-1)
-    runtimes = np.asarray(runtimes, dtype=np.float64).reshape(-1)
-    if machines.size == 0:
-        raise ValueError("local training requires at least one sample")
+    machines, runtimes = _check_samples(machines, runtimes)
 
     config = config or BellamyConfig()
     if seed is not None:
@@ -653,23 +469,7 @@ def train_local(
     model.f.unfreeze()
     model.z.unfreeze()
 
-    result = _run_finetune_loop(
-        model,
-        context,
-        machines,
-        runtimes,
-        config,
-        callbacks=(),
-        max_epochs=max_epochs,
-        seed_path=(context.context_id, "local"),
-    )
-    wall = time.perf_counter() - started
-    return FinetuneResult(
-        model=model,
-        strategy="local",
-        epochs_trained=result.epochs_trained,
-        wall_seconds=wall,
-        final_mae=result.best_metric,
-        stop_reason=result.stop_reason,
-        train_result=result,
-    )
+    seed_path = (context.context_id, "local")
+    group = _group(0, model, context, machines, runtimes, max_epochs, seed_path)
+    result = _fit_serial(group, context, None)
+    return _result(group, "local", result, time.perf_counter() - started)

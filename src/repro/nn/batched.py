@@ -29,14 +29,18 @@ padding + a ``counts`` vector: padded rows are zeroed by the caller, carry
 exactly-zero gradients through every kernel, and are excluded from loss and
 bias reductions.
 
-The lockstep training loops built on these kernels live next to their
-serial twins (``repro.core.finetuning.finetune_batch`` and
-``repro.core.pretraining.pretrain_sweep``).
+:func:`fit_lockstep` is the one lockstep training loop built on these
+kernels — the batched twin of :meth:`repro.nn.trainer.Trainer.fit`. The
+objectives plug into it next to their serial twins
+(``repro.core.finetuning.finetune_batch`` and
+``repro.core.pretraining.pretrain_batch``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,8 +48,10 @@ from repro.nn import functional as F
 from repro.nn.functional import SELU_ALPHA, SELU_SCALE, _register_mask_refresh, _selu_into
 from repro.nn.layers import AlphaDropout, FeedForward, Identity
 from repro.nn.module import Parameter
+from repro.nn.tape import GraphCompiler
 from repro.nn.tensor import Tensor, cat
-from repro.nn.trainer import TrainResult
+from repro.nn.trainer import TrainerConfig, TrainResult
+from repro.utils.rng import new_rng
 
 __all__ = [
     "BatchedAdam",
@@ -53,8 +59,11 @@ __all__ = [
     "BatchedFeedForward",
     "BatchedModelBank",
     "GroupProgress",
+    "LockstepGroup",
     "ParamSnapshots",
     "alpha_dropout_batched",
+    "bucket_groups",
+    "fit_lockstep",
     "group_mean",
     "group_sum",
     "huber_loss_batched",
@@ -1137,3 +1146,209 @@ class ParamSnapshots:
             return
         for param, buf in zip(self.params, self.bufs):
             np.copyto(param.data[g], buf[g])
+
+
+# ---------------------------------------------------------------------- #
+# The lockstep loop (the batched twin of Trainer.fit)
+# ---------------------------------------------------------------------- #
+
+
+@dataclass
+class LockstepGroup:
+    """One group of a lockstep fit: a model, its training rows, its settings.
+
+    ``features``, ``properties`` and ``targets`` are the group's scaled
+    training rows; ``trainer`` holds the settings the serial
+    :meth:`~repro.nn.trainer.Trainer.fit` trains the group with (batch
+    size, epoch budget, monitor, stop rules, shuffle seed).
+    ``validation`` holds optional held-out rows in the same layout, and
+    ``index`` is the group's position in the caller's item list::
+
+        group = LockstepGroup(0, model, features, properties, targets,
+                              TrainerConfig(max_epochs=100, seed=7))
+    """
+
+    index: int
+    model: Any
+    features: np.ndarray
+    properties: np.ndarray
+    targets: np.ndarray
+    trainer: TrainerConfig
+    validation: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def arch_key(self) -> tuple:
+        """Groups can share one :class:`BatchedModelBank` iff this key matches."""
+        config = self.model.config
+        return (
+            tuple((n, p.data.shape) for n, p in self.model.named_parameters()),
+            self.properties.shape[1:],
+            config.n_essential,
+            config.encoding_dim,
+            config.use_optional,
+        )
+
+
+def bucket_groups(
+    groups: Sequence[LockstepGroup],
+) -> Tuple[List[List[LockstepGroup]], List[LockstepGroup]]:
+    """Split groups into lockstep buckets and the lone groups left over.
+
+    Groups with equal :meth:`LockstepGroup.arch_key` share a bucket. A
+    group alone in its bucket is returned in the second list and trains
+    in the serial loop: a one-group bank is bit-identical to it but slower
+    (see ``docs/performance.md``)::
+
+        buckets, lone = bucket_groups(groups)
+        for bucket in buckets:
+            ...                       # one fit_lockstep pass per bucket
+        for group in lone:
+            ...                       # the serial Trainer.fit loop
+    """
+    buckets: Dict[tuple, List[LockstepGroup]] = {}
+    for group in groups:
+        buckets.setdefault(group.arch_key(), []).append(group)
+    lone = [bucket[0] for bucket in buckets.values() if len(bucket) == 1]
+    return [bucket for bucket in buckets.values() if len(bucket) > 1], lone
+
+
+def fit_lockstep(
+    bank: BatchedModelBank,
+    groups: Sequence[LockstepGroup],
+    build: Callable[..., Tuple[Tensor, ...]],
+    optimizer: BatchedAdam,
+    commit_masks: Callable[[np.ndarray], Sequence[np.ndarray]],
+    terms: Sequence[str] = (),
+    on_epoch_start: Optional[Callable[[int, List[int]], None]] = None,
+    evaluate: Optional[Callable[[], Dict[int, Dict[str, float]]]] = None,
+    on_epoch_end: Optional[Callable[[int, int], None]] = None,
+) -> List[TrainResult]:
+    """Train the groups of ``bank`` in lockstep, each exactly as ``Trainer.fit``.
+
+    Every epoch each running group draws its batch order from its own
+    trainer seed. Batch ``b`` of every group fills one padded
+    ``(group, width, ...)`` buffer set plus a ``counts`` vector (0 for a
+    group without a batch ``b``), and one compiled replay of
+    ``build(features, properties, targets, counts)`` returns the ``(G,)``
+    loss, the ``(G, width)`` prediction and the ``(G,)`` tensors named by
+    ``terms``. The :class:`BatchedAdam` step commits the groups that
+    ``commit_masks(had_batch)`` selects, one mask per optimizer parameter.
+
+    A group's epoch metrics are the sample-weighted means of ``loss``,
+    ``mae`` (in runtime units) and ``terms``, updated with
+    ``evaluate()[g]`` and ``lr``. :class:`GroupProgress` applies the
+    serial stop order, and :class:`ParamSnapshots` rewinds each group to
+    its best epoch before :meth:`BatchedModelBank.write_back`.
+
+    ``on_epoch_start(epoch, running)`` runs before the shuffles (the
+    learning-rate schedule slot); ``on_epoch_end(g, epoch)`` runs between
+    a group's metrics and its stop check (the serial callback slot). A
+    Huber-only objective over every stacked parameter::
+
+        bank = BatchedModelBank([group.model for group in groups])
+        optimizer = BatchedAdam(bank.parameters(), len(groups), lr=1e-3)
+
+        def build(features, properties, targets, counts):
+            prediction, _, _ = bank.forward(features, properties, counts=counts)
+            loss = huber_loss_batched(prediction, targets, counts=counts)
+            return loss, prediction
+
+        results = fit_lockstep(bank, groups, build, optimizer,
+                               lambda had_batch: [had_batch] * len(optimizer.params))
+    """
+    trainers = [group.trainer for group in groups]
+    if len({trainer.min_delta for trainer in trainers}) > 1:
+        raise ValueError("lockstep groups must share min_delta")
+    n_groups = len(groups)
+    compiler = GraphCompiler(build, params=bank.parameters)
+    ns = [len(group.targets) for group in groups]
+    width = max(min(trainer.batch_size, n) for trainer, n in zip(trainers, ns))
+    first = groups[0]
+    bufs = [
+        np.zeros((n_groups, width) + rows.shape[1:], dtype=np.float64)
+        for rows in (first.features, first.properties, first.targets)
+    ]
+    counts = np.zeros(n_groups, dtype=np.float64)
+    had_batch = np.zeros(n_groups, dtype=bool)
+    dirty = [False] * n_groups
+    progress = GroupProgress(
+        n_groups,
+        monitor=[trainer.monitor for trainer in trainers],
+        targets=[trainer.target for trainer in trainers],
+        patiences=[trainer.patience for trainer in trainers],
+        min_delta=trainers[0].min_delta,
+        max_epochs=[trainer.max_epochs for trainer in trainers],
+    )
+    snapshots = ParamSnapshots(optimizer.params)
+    rngs = [new_rng(trainer.seed) for trainer in trainers]
+    indices = [np.arange(n) for n in ns]
+    keys = ("loss", "mae", *terms)
+    bank.train()
+
+    epoch = 0
+    while progress.any_active:
+        running = [g for g in range(n_groups) if progress.active[g]]
+        if on_epoch_start is not None:
+            on_epoch_start(epoch, running)
+        orders = {
+            g: rngs[g].permutation(indices[g]) if trainers[g].shuffle else indices[g]
+            for g in running
+        }
+        n_batches = {g: math.ceil(ns[g] / trainers[g].batch_size) for g in running}
+        sums = {g: [0.0] * len(keys) for g in running}
+        seen = dict.fromkeys(running, 0)
+
+        for b in range(max(n_batches.values())):
+            had_batch[:] = False
+            for g, group in enumerate(groups):
+                if b < n_batches.get(g, 0):
+                    size = trainers[g].batch_size
+                    idx = orders[g][b * size : (b + 1) * size]
+                    c = idx.size
+                    for buf, rows in zip(bufs, (group.features, group.properties, group.targets)):
+                        buf[g, :c] = rows[idx]
+                        buf[g, c:] = 0.0
+                    counts[g] = float(c)
+                    had_batch[g] = dirty[g] = True
+                else:
+                    counts[g] = 0.0
+                    if dirty[g]:
+                        for buf in bufs:
+                            buf[g] = 0.0
+                        dirty[g] = False
+
+            optimizer.zero_grad()
+            loss, prediction, *term_values = compiler.run(*bufs, counts)
+            if loss.requires_grad:
+                compiler.backward()
+                optimizer.step(commit_masks(had_batch))
+
+            for g in running:
+                if not had_batch[g]:
+                    continue
+                c = int(counts[g])
+                residual = bank.models[g].denormalize_runtimes(
+                    prediction.data[g, :c] - bufs[2][g, :c]
+                )
+                values = [loss.data[g], np.abs(residual).mean()]
+                values += [term.data[g] for term in term_values]
+                for k, value in enumerate(values):
+                    sums[g][k] += float(value) * c
+                seen[g] += c
+
+        extra = evaluate() if evaluate is not None else {}
+        for g in running:
+            metrics = {key: total / seen[g] for key, total in zip(keys, sums[g])}
+            metrics.update(extra.get(g, {}))
+            metrics["lr"] = float(optimizer.lr[g])
+            if progress.record(g, epoch, metrics) and trainers[g].restore_best:
+                snapshots.save(g)
+            if on_epoch_end is not None:
+                on_epoch_end(g, epoch)
+            progress.check_stop(g, epoch, metrics)
+        epoch += 1
+
+    for g, trainer in enumerate(trainers):
+        if trainer.restore_best:
+            snapshots.restore(g)
+    bank.write_back()
+    return [progress.result(g) for g in range(n_groups)]

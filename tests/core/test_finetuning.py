@@ -205,6 +205,10 @@ class TestTrainLocal:
         with pytest.raises(ValueError):
             train_local(sgd_context, [], [])
 
+    def test_local_mismatched_lengths(self, sgd_context):
+        with pytest.raises(ValueError, match="equal length"):
+            train_local(sgd_context, [2.0, 4.0], [100.0])
+
     def test_local_strategy_label(self, context_samples):
         context, machines, runtimes = context_samples
         result = train_local(context, machines, runtimes, max_epochs=5, seed=0)

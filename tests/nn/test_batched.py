@@ -11,12 +11,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import BellamyConfig
+from repro.core.model import BellamyModel
 from repro.nn import functional as F
 from repro.nn.batched import (
     BatchedAdam,
     BatchedAdamW,
     GroupProgress,
+    LockstepGroup,
     alpha_dropout_batched,
+    bucket_groups,
+    fit_lockstep,
     group_mean,
     group_sum,
     huber_loss_batched,
@@ -26,6 +31,7 @@ from repro.nn.batched import (
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam, AdamW
 from repro.nn.tensor import Tensor
+from repro.nn.trainer import TrainerConfig
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -269,3 +275,43 @@ def test_group_progress_per_group_monitors_and_stop_reasons():
     progress.check_stop(1, 0, {"mae": 0.5})
     assert not progress.active[1] and progress.stop_reason[1] == "target"
     assert not progress.any_active
+
+
+# --------------------------------------------------------------------- #
+# Lockstep grouping
+# --------------------------------------------------------------------- #
+
+
+def _lockstep_group(index, config, n_props=6, trainer=None):
+    return LockstepGroup(
+        index,
+        BellamyModel(config),
+        np.zeros((3, 3)),
+        np.zeros((3, n_props, config.property_vector_size)),
+        np.zeros(3),
+        trainer or TrainerConfig(),
+    )
+
+
+def test_bucket_groups_pairs_equal_architectures_and_returns_the_lone_rest():
+    narrow = BellamyConfig(seed=0)
+    wide = narrow.with_overrides(hidden_dim=12)
+    groups = [
+        _lockstep_group(0, narrow),
+        _lockstep_group(1, wide),
+        _lockstep_group(2, narrow.with_overrides(seed=5)),  # weights differ, shapes match
+        _lockstep_group(3, narrow, n_props=5),  # property-matrix shape differs
+    ]
+    buckets, lone = bucket_groups(groups)
+    assert [[group.index for group in bucket] for bucket in buckets] == [[0, 2]]
+    assert [group.index for group in lone] == [1, 3]
+
+
+def test_fit_lockstep_rejects_groups_with_different_min_delta():
+    config = BellamyConfig(seed=0)
+    groups = [
+        _lockstep_group(0, config, trainer=TrainerConfig(min_delta=0.0)),
+        _lockstep_group(1, config, trainer=TrainerConfig(min_delta=0.5)),
+    ]
+    with pytest.raises(ValueError, match="min_delta"):
+        fit_lockstep(None, groups, None, None, None)
